@@ -41,9 +41,14 @@ lint:
 # stands up a live OpenMetrics endpoint plus heartbeat stream and scrapes
 # it over HTTP; the dispatch-equivalence run includes the telemetry
 # observer-equivalence matrix (armed/bus runs byte-identical to disarmed).
+# The allocation-count stress pass repeats every testing.AllocsPerRun
+# assertion 20 times in one process, so an allocation that depends on GC
+# timing fails here before it can flake in tier-1.
 check:
 	$(MAKE) lint
 	$(GO) test -race ./internal/machine ./internal/figures ./internal/compile ./internal/sweep ./internal/resultstore ./internal/fault ./internal/telemetry
+	$(GO) test -run 'TestTelemetryZeroAllocWhenOff' -count=20 .
+	$(GO) test -run 'TestScheduleDrainScratchZeroAlloc' -count=20 ./internal/machine
 	$(GO) test -run 'TestVerifierMatrix|TestMutation' ./internal/compile
 	$(GO) test -run 'Differential|DispatchEquivalence' .
 	$(MAKE) telemetry-smoke

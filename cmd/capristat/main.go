@@ -170,8 +170,19 @@ func compareReports(old, new *report, minDelta float64) []row {
 
 // comparable reports whether two reports' rates may be compared at all:
 // same scale, dispatch core, and worker count (the same skips the old
-// gate applied).
+// gate applied), and neither report oversubscribed its host. A report run
+// with more workers than host CPUs sums wall time across machines that
+// were time-sliced against each other, so its rates measure the OS
+// scheduler as much as the simulator.
 func comparable(old, new *report) (string, bool) {
+	for _, r := range []struct {
+		side string
+		rep  *report
+	}{{"old", old}, {"new", new}} {
+		if h := r.rep.Host; h != nil && h.NumCPU > 0 && r.rep.Jobs > h.NumCPU {
+			return fmt.Sprintf("%s report ran jobs %d on a %d-CPU host", r.side, r.rep.Jobs, h.NumCPU), false
+		}
+	}
 	if old.Scale != new.Scale {
 		return fmt.Sprintf("scale %d != %d", old.Scale, new.Scale), false
 	}

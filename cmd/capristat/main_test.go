@@ -125,6 +125,33 @@ func TestComparable(t *testing.T) {
 	}
 }
 
+func TestComparableRefusesOversubscribedHost(t *testing.T) {
+	a, b := reportWith(), reportWith()
+	a.Jobs, b.Jobs = 4, 4
+	a.Host = &host{NumCPU: 4}
+	b.Host = &host{NumCPU: 4}
+	if reason, ok := comparable(a, b); !ok {
+		t.Fatalf("jobs == num_cpu must stay comparable: %s", reason)
+	}
+	b.Host = &host{NumCPU: 1}
+	reason, ok := comparable(a, b)
+	if ok {
+		t.Fatal("new report with jobs 4 on a 1-CPU host must not be gated")
+	}
+	if want := "new report ran jobs 4 on a 1-CPU host"; reason != want {
+		t.Errorf("reason = %q, want %q", reason, want)
+	}
+	a.Host, b.Host = &host{NumCPU: 2}, &host{NumCPU: 8}
+	if reason, _ := comparable(a, b); reason != "old report ran jobs 4 on a 2-CPU host" {
+		t.Errorf("oversubscribed old report: reason = %q", reason)
+	}
+	// Reports without a host fingerprint (pre-v5) cannot be checked.
+	a.Host, b.Host = nil, nil
+	if _, ok := comparable(a, b); !ok {
+		t.Error("reports without host fingerprints must stay comparable")
+	}
+}
+
 func TestPointFallbackFewSamples(t *testing.T) {
 	// Three samples per side cannot reach significance — must fall back,
 	// and only the cliff gates.

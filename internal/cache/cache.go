@@ -53,6 +53,9 @@ type line struct {
 
 // Cache is a set-associative writeback cache.
 type Cache struct {
+	// A set's line storage is materialized on first touch, setChunk sets
+	// at a time (nil until then): a short run touches a few hundred lines
+	// of the figure harness's 2 MB L2, whose full line storage is 1.5 MB.
 	sets    [][]line
 	setMask uint64 // len(sets)-1 when a power of two, else 0
 	ways    int
@@ -72,24 +75,40 @@ func New(capacity uint64, ways int) *Cache {
 	if nsets == 0 {
 		nsets = 1
 	}
-	sets := make([][]line, nsets)
-	backing := make([]line, nsets*ways)
-	for i := range sets {
-		sets[i] = backing[i*ways : (i+1)*ways : (i+1)*ways]
-	}
-	c := &Cache{sets: sets, ways: ways}
+	c := &Cache{sets: make([][]line, nsets), ways: ways}
 	if n := uint64(nsets); n&(n-1) == 0 {
 		c.setMask = n - 1
 	}
 	return c
 }
 
+// setChunk is how many sets' line storage one materialization allocates.
+const setChunk = 64
+
 func (c *Cache) set(lineAddr uint64) []line {
 	s := lineAddr / mem.LineSize
 	if c.setMask != 0 || len(c.sets) == 1 {
-		return c.sets[s&c.setMask]
+		s &= c.setMask
+	} else {
+		s %= uint64(len(c.sets))
 	}
-	return c.sets[s%uint64(len(c.sets))]
+	if set := c.sets[s]; set != nil {
+		return set
+	}
+	return c.materialize(int(s))
+}
+
+// materialize allocates line storage for the chunk of sets holding set si
+// and returns that set.
+func (c *Cache) materialize(si int) []line {
+	lo := si / setChunk * setChunk
+	hi := min(lo+setChunk, len(c.sets))
+	backing := make([]line, (hi-lo)*c.ways)
+	for i := lo; i < hi; i++ {
+		o := (i - lo) * c.ways
+		c.sets[i] = backing[o : o+c.ways : o+c.ways]
+	}
+	return c.sets[si]
 }
 
 // Lookup probes the cache without modifying state. It reports a hit.

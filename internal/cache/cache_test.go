@@ -123,3 +123,33 @@ func TestDirtyWordBitmapPerWord(t *testing.T) {
 		t.Errorf("wb = %+v", wb)
 	}
 }
+
+// TestLazySetStorage covers materialization on first touch: a set count
+// that is neither a power of two nor a chunk multiple, touched only in
+// its trailing partial chunk, must behave as a fully built cache and
+// allocate storage for exactly the chunk it touched.
+func TestLazySetStorage(t *testing.T) {
+	const ways, nsets = 2, setChunk + 36
+	c := New(nsets*ways*mem.LineSize, ways)
+	last := uint64(nsets-1) * mem.LineSize // maps to the last set
+	conflict := last + nsets*mem.LineSize  // same set, different tag
+	c.Access(last, true, 1, 0)
+	c.Access(conflict, true, 2, 0)
+	if hit, _ := c.Access(last, false, 0, 0); !hit {
+		t.Error("line in a lazily built set missed")
+	}
+	if got := c.DirtyLines(); got != 2 {
+		t.Errorf("dirty lines = %d, want 2", got)
+	}
+	for i, set := range c.sets {
+		if built := set != nil; built != (i >= setChunk) {
+			t.Fatalf("set %d built=%v: only the touched chunk may be materialized", i, built)
+		}
+		if set != nil && (len(set) != ways || cap(set) != ways) {
+			t.Fatalf("set %d has len %d cap %d, want %d", i, len(set), cap(set), ways)
+		}
+	}
+	if wbs := c.FlushAll(); len(wbs) != 2 {
+		t.Errorf("flushed %d writebacks, want 2", len(wbs))
+	}
+}

@@ -84,3 +84,41 @@ func BenchmarkNVMWriteStale(b *testing.B) {
 		n.Write(addrs[i&(len(addrs)-1)], uint64(i), 1)
 	}
 }
+
+// smallFootprint is what one small machine touches — a progen corpus
+// program's scale: a stack page's worth of frames below thread 0's stack
+// top plus a few hundred heap words scattered over 16 KB, at the machine's
+// memory map (stack top 512 KB, heap base 1 MB).
+func smallFootprint() []uint64 {
+	const stackTop, heapBase = 1 << 19, 1 << 20
+	var addrs []uint64
+	for i := uint64(1); i <= 64; i++ {
+		addrs = append(addrs, stackTop-i*WordSize)
+	}
+	for i := uint64(0); i < 192; i++ {
+		addrs = append(addrs, heapBase+(i*37%2048)*WordSize)
+	}
+	return addrs
+}
+
+// benchImageLifecycle is one small machine's image lifecycle on the crash
+// path: the live NVM and architectural images are written, the crash
+// harvest clones the NVM image, and recovery rebuilds architectural memory
+// from the clone. B/op is the host memory every crash trial pays for it.
+func benchImageLifecycle(b *testing.B, newNVM func() *NVM, newMem func() *Mem) {
+	addrs := smallFootprint()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		n, m := newNVM(), newMem()
+		for j, a := range addrs {
+			n.Write(a, uint64(j), uint64(j)+1)
+			m.Store(a, uint64(j))
+		}
+		benchMem = MemFromNVM(n.Clone())
+	}
+}
+
+var benchMem *Mem
+
+func BenchmarkNVMImageLifecyclePaged(b *testing.B) { benchImageLifecycle(b, NewNVM, NewMem) }
+func BenchmarkNVMImageLifecycleRef(b *testing.B)   { benchImageLifecycle(b, NewNVMRef, NewMemRef) }

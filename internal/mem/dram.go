@@ -10,8 +10,10 @@ package mem
 type DRAMCache struct {
 	// Tag storage is chunked and allocated lazily: a multi-MB direct-mapped
 	// cache would otherwise be zeroed wholesale at machine construction, and
-	// figure sweeps construct one machine per configuration point. A set
-	// holds the line tag, or 0 when empty (tag = lineAddr | 1).
+	// figure sweeps construct one machine per configuration point. A chunk
+	// never holds more slots than the sets it maps, so a cache smaller than
+	// one chunk (the crash corpus's 16 KB, 256 sets) allocates only its own
+	// sets. A set holds the line tag, or 0 when empty (tag = lineAddr | 1).
 	chunks [][]uint64
 	nsets  uint64
 	mask   uint64 // nsets-1 when the set count is a power of two, else 0
@@ -51,10 +53,11 @@ func (d *DRAMCache) idx(line uint64) uint64 {
 // set returns a pointer to the tag slot for a set index, materializing its
 // chunk on first touch.
 func (d *DRAMCache) set(idx uint64) *uint64 {
-	ch := d.chunks[idx>>dramChunkBits]
+	ci := idx >> dramChunkBits
+	ch := d.chunks[ci]
 	if ch == nil {
-		ch = make([]uint64, 1<<dramChunkBits)
-		d.chunks[idx>>dramChunkBits] = ch
+		ch = make([]uint64, min(1<<dramChunkBits, d.nsets-ci<<dramChunkBits))
+		d.chunks[ci] = ch
 	}
 	return &ch[idx&(1<<dramChunkBits-1)]
 }

@@ -13,7 +13,11 @@
 // directory of fixed-size flat arrays: word addresses index a page table
 // slice directly (no hashing), so the simulator's per-access cost is two
 // array indexings instead of a Go map lookup. Addresses beyond the direct
-// window (pathological spread) fall back to a page map. A map-backed
+// window (pathological spread) fall back to a page map. Pages are small
+// (512 words) because a machine pays for every page it touches several
+// times over — live image, crash-harvest clone, recovery clone, the
+// rebuilt architectural memory — and a crash trial touches only a few
+// hundred words (see DESIGN.md §4l for the measured sizing). A map-backed
 // reference implementation is retained behind NewNVMRef/NewMemRef for the
 // differential tests that prove the paged store is cycle- and
 // image-identical (see machine's RefStore config and TestPagedVsRefStore*).
@@ -33,16 +37,29 @@ func LineAddr(addr uint64) uint64 { return addr &^ (LineSize - 1) }
 // WordAddr returns the word-aligned address containing addr.
 func WordAddr(addr uint64) uint64 { return addr &^ (WordSize - 1) }
 
-// Paged-backing geometry. A page holds 2^pageWordShift words (32 KB of
-// address space); the direct page directory covers directPages pages
-// (1 GB of address space) before falling back to the far-page map.
+// Paged-backing geometry. A page holds 2^pageWordShift words (4 KB of
+// address space: 8 KB of host memory for an NVM page, 4 KB for a Mem page);
+// the direct page directory covers directPages pages (1 GB of address
+// space) before falling back to the far-page map. 512 words measured
+// fastest on the crash benchmark: with 4096-word pages a trial spent most
+// of its time allocating and zeroing words it never touched, and 128-word
+// pages lose more to the longer directory every clone copies than they
+// save in page bytes.
 const (
 	wordShift     = 3 // log2(WordSize)
-	pageWordShift = 12
+	pageWordShift = 9
 	pageWords     = 1 << pageWordShift
 	pageWordMask  = pageWords - 1
-	directPages   = 1 << 15
+	directPages   = 1 << (30 - pageWordShift - wordShift)
 )
+
+// growDir extends a page directory so index pi is addressable. append's
+// capacity doubling amortizes the copy when a program touches ascending
+// pages one at a time; the length stays exactly pi+1 so clones copy only
+// the populated prefix.
+func growDir[P any](dir []*P, pi uint64) []*P {
+	return append(dir, make([]*P, pi+1-uint64(len(dir)))...)
+}
 
 // Word is a persisted word value plus the global store sequence number of its
 // writer.
@@ -154,9 +171,7 @@ func (n *NVM) writablePage(wi uint64) *nvmPage {
 func (n *NVM) writablePageSlow(pi uint64) *nvmPage {
 	if pi < directPages {
 		if pi >= uint64(len(n.pages)) {
-			grown := make([]*nvmPage, pi+1)
-			copy(grown, n.pages)
-			n.pages = grown
+			n.pages = growDir(n.pages, pi)
 		}
 		p := &nvmPage{}
 		n.pages[pi] = p
@@ -475,9 +490,7 @@ func (m *Mem) writablePage(wi uint64) *memPage {
 func (m *Mem) writablePageSlow(pi uint64) *memPage {
 	if pi < directPages {
 		if pi >= uint64(len(m.pages)) {
-			grown := make([]*memPage, pi+1)
-			copy(grown, m.pages)
-			m.pages = grown
+			m.pages = growDir(m.pages, pi)
 		}
 		p := &memPage{}
 		m.pages[pi] = p

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -183,5 +184,75 @@ func TestMemLen(t *testing.T) {
 	m.Store(16, 3)
 	if m.Len() != 2 {
 		t.Errorf("len = %d, want 2", m.Len())
+	}
+}
+
+// dramRef is the reference direct-mapped model: one tag per set, set index
+// = line number mod set count.
+type dramRef struct {
+	tags         map[uint64]uint64
+	nsets        uint64
+	hits, misses uint64
+}
+
+func (r *dramRef) access(addr uint64, fill bool) {
+	line := LineAddr(addr)
+	set := (line / LineSize) % r.nsets
+	if !fill {
+		if tag, ok := r.tags[set]; ok && tag == line {
+			r.hits++
+			return
+		}
+		r.misses++
+	}
+	r.tags[set] = line
+}
+
+// TestDRAMCacheMatchesReference drives caches smaller than one tag chunk
+// (the crash corpus's 16 KB) and with a set count that is neither a power
+// of two nor a chunk multiple through random Access/Fill/Reset sequences:
+// every hit/miss must match the reference model, and no chunk may hold more
+// slots than the sets it maps.
+func TestDRAMCacheMatchesReference(t *testing.T) {
+	for _, capacity := range []uint64{
+		16 << 10,                             // 256 sets: below one chunk
+		(2<<dramChunkBits + 1000) * LineSize, // 3 chunks, the last partial
+		(1<<dramChunkBits + 3) * LineSize,    // one full chunk plus 3 sets
+		5 * LineSize,                         // tiny, non-power-of-two
+	} {
+		d := NewDRAMCache(capacity)
+		ref := &dramRef{tags: map[uint64]uint64{}, nsets: capacity / LineSize}
+		rng := rand.New(rand.NewSource(int64(capacity)))
+		span := 3 * capacity
+		for i := 0; i < 20000; i++ {
+			addr := uint64(rng.Int63n(int64(span)))
+			switch r := rng.Intn(100); {
+			case r == 0:
+				d.Reset()
+				clear(ref.tags)
+			case r < 10:
+				d.Fill(addr)
+				ref.access(addr, true)
+			default:
+				hit := d.Access(addr)
+				before := ref.hits
+				ref.access(addr, false)
+				if hit != (ref.hits > before) {
+					t.Fatalf("capacity %d: access %d (%#x): hit=%v, reference disagrees", capacity, i, addr, hit)
+				}
+			}
+		}
+		if d.Hits == 0 || d.Misses == 0 {
+			t.Errorf("capacity %d: sequence exercised only one path (hits %d, misses %d)", capacity, d.Hits, d.Misses)
+		}
+		if d.Hits != ref.hits || d.Misses != ref.misses {
+			t.Errorf("capacity %d: hits/misses %d/%d, reference %d/%d", capacity, d.Hits, d.Misses, ref.hits, ref.misses)
+		}
+		for ci, ch := range d.chunks {
+			maps := min(uint64(1)<<dramChunkBits, ref.nsets-uint64(ci)<<dramChunkBits)
+			if uint64(len(ch)) > maps {
+				t.Errorf("capacity %d: chunk %d holds %d slots for %d sets", capacity, ci, len(ch), maps)
+			}
+		}
 	}
 }

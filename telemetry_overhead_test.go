@@ -10,6 +10,7 @@ package capri
 import (
 	"net/http"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"capri/internal/compile"
@@ -115,6 +116,14 @@ func TestTelemetryZeroAllocWhenOff(t *testing.T) {
 		}
 	}
 	run() // warm any process-global caches before counting
+	// MemStats.Mallocs is process-wide, so it also counts the runtime's own
+	// allocations at GC cycle boundaries: the background mark workers the
+	// first cycle starts, and (with net linked in) the unique-handle map
+	// cleanup every cycle runs. A run allocates ~0.3 MB, so after this
+	// cycle each window below sees at most one more, whose two objects
+	// vanish in AllocsPerRun's per-run average; without it, the process's
+	// first cycle can land in one window and not the other.
+	runtime.GC()
 	off := testing.AllocsPerRun(5, run)
 	telemetry.EnableMachine()
 	on := testing.AllocsPerRun(5, run)
