@@ -5,13 +5,13 @@ GO ?= go
 
 # JOBS shards the figure sweeps and fault campaigns across a bounded worker
 # pool (sweep orchestrator, DESIGN.md §4h); results are deterministic at any
-# value. PERF_STORE is the on-disk content-addressed result store `make
-# perf` and the soak campaigns reuse — delete the directory to force a cold
-# run, or point it elsewhere per experiment.
+# value. PERF_STORE names the on-disk content-addressed result store
+# (`make soak-long` reuses $(PERF_STORE)-soak) — delete the directory to
+# force a cold run, or point it elsewhere per experiment.
 JOBS ?= 4
 PERF_STORE ?= /tmp/capri-resultstore
 
-.PHONY: all build test check lint audit soak soak-mt soak-long docs-verify bench telemetry-smoke perf perf-single perf-seed clean
+.PHONY: all build test check lint audit soak soak-mt soak-long docs-verify bench telemetry-smoke perf perf-seed clean
 
 all: build
 
@@ -131,20 +131,17 @@ telemetry-smoke:
 # sweep; median ± MAD per figure, schema capri/bench-sim/v5) and gates it
 # against the committed BENCH_sim.json with capristat's variance-aware
 # Mann-Whitney test: a figure fails only when its slowdown is both
-# statistically significant (p < 0.05) and at least 1%. Multi-sample runs
-# never attach the result store (replayed cells carry no timing signal).
-# Reports without samples arrays fall back per figure to the old 10% point
-# cliff, which `make perf-single` still applies directly.
+# statistically significant (p < 0.05) and at least 1%. Timing samples run
+# at -jobs 1: a sweep sharded across more workers than the host has CPUs
+# sums time-sliced wall clock, and capristat refuses to gate such reports.
+# Multi-sample runs never attach the result store (replayed cells carry no
+# timing signal). Reports without samples arrays fall back per figure to a
+# 10% point cliff. Regenerate the committed reference with the same
+# command and -perfout BENCH_sim.json.
 SAMPLES ?= 5
 perf:
-	$(GO) run ./cmd/capribench -perf -scale 1 -jobs $(JOBS) -samples $(SAMPLES) -perfout /tmp/BENCH_sim.new.json
+	$(GO) run ./cmd/capribench -perf -scale 1 -jobs 1 -samples $(SAMPLES) -perfout /tmp/BENCH_sim.new.json
 	$(GO) run ./cmd/capristat -gate BENCH_sim.json /tmp/BENCH_sim.new.json
-
-# perf-single is the documented single-sample fallback: one run of each
-# sweep, backed by PERF_STORE, judged by the old 10% point-cliff -perfgate.
-# Useful for a quick signal when the 5-sample methodology is too slow.
-perf-single:
-	$(GO) run ./cmd/capribench -perf -scale 1 -jobs $(JOBS) -store $(PERF_STORE) -perfgate BENCH_sim.json
 
 # perf-seed additionally measures the growth seed's binary (built from git)
 # on this machine and records the end-to-end speedup in BENCH_sim.json —

@@ -22,20 +22,12 @@ import (
 // wall-clock (a result store replays configurations without simulating, so
 // wall-derived inst/s would gate replay speed, not simulator speed) and
 // records the sweep's job count and result-store traffic; v4 adds the
-// multi-core figures (fig8-mt4 and its lockstep control) with their
-// mt_inst_per_sec throughput, quantum grant/abort counters, and run-queue
-// traffic; v5 adds the multi-sample methodology (-samples N): a per-figure
-// samples array with median/MAD summary rates, the host fingerprint, and
-// the degenerate-rate guard. Older reports remain readable for gating —
-// figures and fields they lack are skipped.
+// multi-core figure (fig8-mt4) with its run-queue traffic; v5 adds the
+// multi-sample methodology (-samples N): a per-figure samples array with
+// median/MAD summary rates, the host fingerprint, and the degenerate-rate
+// guard. Older reports remain readable for gating — figures and fields
+// they lack are skipped.
 const BenchSchema = "capri/bench-sim/v5"
-
-// gateTolerance is the fractional inst/s regression `-perfgate` tolerates
-// before failing (wall-clock noise allowance). This single-sample point
-// cliff is the documented fallback only — `make perf` gates through
-// `capristat`, which judges the v5 samples arrays with a rank test
-// instead (see cmd/capristat).
-const gateTolerance = 0.10
 
 // minMeasurableSeconds is the guard below which a wall or simulated
 // duration carries no rate signal: a sub-millisecond sweep at a tiny
@@ -62,7 +54,7 @@ func safeRate(inst uint64, secs float64) (rate float64, degenerate bool) {
 // perfFigure is one timed sweep in the perf report.
 type perfFigure struct {
 	// Figure names the artifact ("fig8", "fig9", ..., "headline",
-	// "fig8-refstore" for the map-backed reference run).
+	// "fig8-mt4").
 	Figure string `json:"figure"`
 	// WallSeconds is the sweep's wall-clock time. Figures 9-11 share the
 	// harness run cache, so their walls are honest *incremental* costs.
@@ -94,19 +86,8 @@ type perfFigure struct {
 	// deflated by compile/setup time. Zero when the sweep simulated nothing.
 	SimSeconds    float64 `json:"sim_seconds"`
 	SimInstPerSec float64 `json:"sim_inst_per_sec"`
-	// MTInstPerSec is the multi-threaded simulated throughput of the fig8-mt4
-	// sweeps (the 4-thread Splash-3 suite on 8 simulated cores). It equals
-	// SimInstPerSec for those figures and is zero elsewhere; it exists as a
-	// named series so the lockstep-vs-extension ratio can be read straight
-	// out of the report.
-	MTInstPerSec float64 `json:"mt_inst_per_sec,omitempty"`
-	// Quantum extension traffic of the sweep (runq.go + quantum.go): grants
-	// count dispatches extended past the strict per-instruction quantum,
-	// aborts count extension attempts declined or cut short by a conflict.
-	// SchedQueueOps counts run-queue pushes+pops — the scheduler traffic the
-	// extension exists to cut; compare fig8-mt4 against its lockstep control.
-	QuantumGrants uint64 `json:"quantum_grants,omitempty"`
-	QuantumAborts uint64 `json:"quantum_aborts,omitempty"`
+	// SchedQueueOps counts the multi-core scheduler's run-queue pushes and
+	// pops (fig8-mt4 only).
 	SchedQueueOps uint64 `json:"sched_queue_ops,omitempty"`
 	// Degenerate marks a figure whose duration fell below the measurable
 	// floor (minMeasurableSeconds) while it did simulate work: its rates
@@ -190,14 +171,6 @@ type perfReport struct {
 	// ResultStore snapshots the attached store's traffic at the end of the
 	// run (-store); absent when no store was attached.
 	ResultStore *resultstore.Stats `json:"result_store,omitempty"`
-	// RefFig8 times the identical Figure-8 sweep on the map-backed
-	// reference memory store (the seed's data structure grafted into the
-	// current binary); SpeedupVsRefStore is its wall-clock divided by the
-	// paged store's. It isolates the store swap alone — every other hot-path
-	// optimization benefits both runs equally, so this ratio understates the
-	// full speedup over the seed.
-	RefFig8           *perfFigure `json:"ref_fig8,omitempty"`
-	SpeedupVsRefStore float64     `json:"speedup_vs_ref_store,omitempty"`
 	// SeedFig8WallSeconds is the measured `capribench -fig 8` wall-clock of
 	// the actual seed binary (map store plus all its hot-path allocations),
 	// supplied via -seedwall; `make perf-seed` builds the seed from git and
@@ -254,12 +227,8 @@ func measure(name string, h *figures.Harness, fn func() error) (perfFigure, erro
 
 // runMTFigure times the 4-thread Splash-3 suite — the paper's Figure-8
 // multi-threaded class — on fresh machines at the paper configuration
-// (8 cores, threshold 256, LICM). noExt pins the scheduler to the strict
-// per-instruction lockstep schedule (Config.NoQuantumExt), giving the
-// control the extension's speedup is measured against; both runs produce
-// byte-identical simulated results (the dispatch equivalence suite proves
-// it), so the ratio is pure simulator speed.
-func runMTFigure(name string, scale int, noExt bool) (perfFigure, error) {
+// (8 cores, threshold 256, LICM).
+func runMTFigure(name string, scale int) (perfFigure, error) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
@@ -269,9 +238,7 @@ func runMTFigure(name string, scale int, noExt bool) (perfFigure, error) {
 		if err != nil {
 			return perfFigure{}, fmt.Errorf("%s: %s: %w", name, b.Name, err)
 		}
-		cfg := machine.DefaultConfig()
-		cfg.NoQuantumExt = noExt
-		m, err := machine.New(res.Program, cfg)
+		m, err := machine.New(res.Program, machine.DefaultConfig())
 		if err != nil {
 			return perfFigure{}, fmt.Errorf("%s: %s: %w", name, b.Name, err)
 		}
@@ -282,8 +249,6 @@ func runMTFigure(name string, scale int, noExt bool) (perfFigure, error) {
 		pf.SimSeconds += time.Since(t0).Seconds()
 		s := m.Stats()
 		pf.Instructions += s.Instret
-		pf.QuantumGrants += s.QuantumGrants
-		pf.QuantumAborts += s.QuantumAborts
 		pf.SchedQueueOps += s.SchedQueueOps
 		pf.SimRuns++
 	}
@@ -297,99 +262,14 @@ func runMTFigure(name string, scale int, noExt bool) (perfFigure, error) {
 	var degWall, degSim bool
 	pf.InstPerSec, degWall = safeRate(pf.Instructions, pf.WallSeconds)
 	pf.SimInstPerSec, degSim = safeRate(pf.Instructions, pf.SimSeconds)
-	pf.MTInstPerSec = pf.SimInstPerSec
 	pf.Degenerate = degWall || degSim
 	return pf, nil
-}
-
-// loadPerfRef reads a previously committed perf report for gating. v1 reports
-// (no dispatch/decode fields) decode fine — the missing fields stay zero.
-func loadPerfRef(path string) (*perfReport, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep perfReport
-	if err := json.Unmarshal(buf, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &rep, nil
-}
-
-// gateRate picks the throughput a report's figure gates on: the
-// simulated-only rate when the report carries one (schema v3), otherwise the
-// wall-derived rate older reports recorded. Mixing the two for one figure is
-// fine — both measure instructions per second of actual simulation when no
-// store is attached, which is how reference reports are produced.
-func gateRate(f perfFigure) float64 {
-	if f.SimInstPerSec > 0 {
-		return f.SimInstPerSec
-	}
-	return f.InstPerSec
-}
-
-// gatePerf compares the fresh report against the committed reference and
-// errors when any timed sweep's throughput regressed by more than
-// gateTolerance. The comparison prefers simulated-only inst/s (store hits
-// replay results without simulating, so wall-derived rates from a warm
-// store would gate disk speed, not the simulator). Sweeps that simulated
-// nothing new in either report (pure cache replays: fig10/11, headline, or
-// fully warm store runs) carry no signal and are skipped, as is a reference
-// produced by a different dispatch core, at another scale, or with a
-// different worker count.
-func gatePerf(rep *perfReport, ref *perfReport) error {
-	if ref.Scale != rep.Scale {
-		fmt.Printf("  gate: reference scale %d != %d, skipping\n", ref.Scale, rep.Scale)
-		return nil
-	}
-	if ref.Dispatch != "" && ref.Dispatch != rep.Dispatch {
-		fmt.Printf("  gate: reference dispatch %q != %q, skipping\n", ref.Dispatch, rep.Dispatch)
-		return nil
-	}
-	// A v2 reference has no jobs field (0 == 1: sequential).
-	refJobs, repJobs := max(ref.Jobs, 1), max(rep.Jobs, 1)
-	if refJobs != repJobs {
-		fmt.Printf("  gate: reference jobs %d != %d, skipping\n", refJobs, repJobs)
-		return nil
-	}
-	refBy := map[string]perfFigure{}
-	for _, f := range ref.Figures {
-		refBy[f.Figure] = f
-	}
-	// The reference-store run is always sequential and storeless, so it is
-	// gateable like-for-like even when the main sweeps ran parallel or
-	// replayed from a warm store.
-	figs := rep.Figures
-	if ref.RefFig8 != nil && rep.RefFig8 != nil {
-		refBy[ref.RefFig8.Figure] = *ref.RefFig8
-		figs = append(append([]perfFigure{}, figs...), *rep.RefFig8)
-	}
-	var failed []string
-	for _, f := range figs {
-		r, ok := refBy[f.Figure]
-		if !ok || gateRate(r) <= 0 || gateRate(f) <= 0 {
-			continue
-		}
-		ratio := gateRate(f) / gateRate(r)
-		verdict := "ok"
-		if ratio < 1-gateTolerance {
-			verdict = "REGRESSED"
-			failed = append(failed, f.Figure)
-		}
-		fmt.Printf("  gate: %-10s %10.0f inst/s vs ref %10.0f  (%.2fx) %s\n",
-			f.Figure, gateRate(f), gateRate(r), ratio, verdict)
-	}
-	if len(failed) != 0 {
-		return fmt.Errorf("perf gate: %v regressed more than %.0f%% vs reference", failed, 100*gateTolerance)
-	}
-	return nil
 }
 
 // perfPass is one full timed pass over the figure pipeline — one sample
 // of every figure, plus the pass's compile-cache and store accounting.
 type perfPass struct {
 	figures []perfFigure
-	ref     *perfFigure
 	fig8CC  compile.CacheStats
 	figCC   compile.CacheStats
 	store   *resultstore.Stats
@@ -397,10 +277,8 @@ type perfPass struct {
 
 // runPerfPass times the full figure pipeline once on fresh harnesses.
 // jobs shards the sweeps; a non-nil store attaches the result store to
-// the figure harnesses (never to the reference-store harness: its
-// wall-clock IS the measurement). withRef additionally times the
-// Figure-8 sweep on the map-backed reference store.
-func runPerfPass(scale, jobs int, store *resultstore.Store, withRef bool) (perfPass, error) {
+// the figure harnesses.
+func runPerfPass(scale, jobs int, store *resultstore.Store) (perfPass, error) {
 	var pass perfPass
 
 	// Figure 8 on a fresh harness: the headline sweep (21 benchmarks x 6
@@ -438,41 +316,17 @@ func runPerfPass(scale, jobs int, store *resultstore.Store, withRef bool) (perfP
 		}
 		pass.figures = append(pass.figures, pf)
 	}
-	// The multi-core figures: the 4-thread Splash-3 suite with the quantum
-	// extension (the default scheduler) and pinned to strict lockstep. Their
-	// simulated results are identical; the mt_inst_per_sec ratio is the
-	// scheduler speedup on lockstep-heavy workloads.
-	for _, mt := range []struct {
-		name  string
-		noExt bool
-	}{
-		{"fig8-mt4", false},
-		{"fig8-mt4-lockstep", true},
-	} {
-		pf, err := runMTFigure(mt.name, scale, mt.noExt)
-		if err != nil {
-			return pass, err
-		}
-		pass.figures = append(pass.figures, pf)
+	// The multi-core figure: the 4-thread Splash-3 suite.
+	pf, err = runMTFigure("fig8-mt4", scale)
+	if err != nil {
+		return pass, err
 	}
+	pass.figures = append(pass.figures, pf)
 	pass.fig8CC = h8.CompileCacheStats()
 	pass.figCC = h.CompileCacheStats()
 	if store != nil {
 		st := store.Stats()
 		pass.store = &st
-	}
-
-	if withRef {
-		// The reference harness gets neither store nor parallelism: its
-		// wall-clock is compared against fig8's, so both must pay for every
-		// simulation the same way.
-		href := figures.NewHarness(scale)
-		href.RefStore = true
-		pf, err := measure("fig8-refstore", href, func() error { _, err := href.Fig8(nil); return err })
-		if err != nil {
-			return pass, err
-		}
-		pass.ref = &pf
 	}
 	return pass, nil
 }
@@ -511,24 +365,10 @@ func summarize(samples []perfFigure) perfFigure {
 // BENCH_sim.json. With samples > 1 the result store is never attached —
 // a warm store replays configurations without simulating, so repeated
 // passes would measure disk replay, not the simulator — and each
-// figure's report carries the per-sample array `capristat` judges. A
-// non-empty gatePath names a committed reference report to regress
-// against with the single-sample point gate (the documented fallback;
-// `make perf` gates through capristat instead): the fresh report is
-// still written, then an error is returned if throughput fell beyond
-// tolerance.
-func runPerf(scale, jobs, samples int, storeDir string, withRef bool, seedWall float64, outPath, gatePath string) error {
+// figure's report carries the per-sample array `capristat` judges.
+func runPerf(scale, jobs, samples int, storeDir string, seedWall float64, outPath string) error {
 	if samples < 1 {
 		samples = 1
-	}
-	var gateRef *perfReport
-	if gatePath != "" {
-		// Read the reference up front — outPath may overwrite it.
-		ref, err := loadPerfRef(gatePath)
-		if err != nil {
-			return fmt.Errorf("perf gate: %w", err)
-		}
-		gateRef = ref
 	}
 	rep := perfReport{
 		Schema:     BenchSchema,
@@ -557,7 +397,7 @@ func runPerf(scale, jobs, samples int, storeDir string, withRef bool, seedWall f
 
 	passes := make([]perfPass, samples)
 	for s := 0; s < samples; s++ {
-		pass, err := runPerfPass(scale, jobs, store, withRef)
+		pass, err := runPerfPass(scale, jobs, store)
 		if err != nil {
 			return err
 		}
@@ -582,37 +422,12 @@ func runPerf(scale, jobs, samples int, storeDir string, withRef bool, seedWall f
 	rep.FigureCompileCache = passes[0].figCC
 	rep.ResultStore = passes[samples-1].store
 
-	if withRef {
-		col := make([]perfFigure, samples)
-		for s := range passes {
-			col[s] = *passes[s].ref
-		}
-		ref := summarize(col)
-		rep.RefFig8 = &ref
-		// Wall-vs-wall ratios are only honest when fig8 simulated everything
-		// sequentially: a store replay would be compared against the
-		// reference harness's full simulation cost, and a parallel sweep's
-		// wall reflects scheduling, not per-run simulator speed.
-		if fig8 := rep.Figures[0]; fig8.WallSeconds > 0 && fig8.StoreHits == 0 && rep.Jobs <= 1 {
-			rep.SpeedupVsRefStore = ref.WallSeconds / fig8.WallSeconds
-		}
-	}
 	if seedWall > 0 {
 		rep.SeedFig8WallSeconds = seedWall
 		if fig8 := rep.Figures[0]; fig8.WallSeconds > 0 && fig8.StoreHits == 0 && rep.Jobs <= 1 {
 			rep.SpeedupVsSeed = seedWall / fig8.WallSeconds
 		}
 	}
-	var mtExt, mtLock perfFigure
-	for _, f := range rep.Figures {
-		switch f.Figure {
-		case "fig8-mt4":
-			mtExt = f
-		case "fig8-mt4-lockstep":
-			mtLock = f
-		}
-	}
-
 	buf, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {
 		return err
@@ -644,15 +459,6 @@ func runPerf(scale, jobs, samples int, storeDir string, withRef bool, seedWall f
 				"", f.DecodeBlocks, f.DecodeHits, f.DecodeFused)
 		}
 	}
-	if mtExt.MTInstPerSec > 0 && mtLock.MTInstPerSec > 0 {
-		fmt.Printf("  multi-core: %d quantum grants, %d aborts; sim speedup vs lockstep: %.2fx\n",
-			mtExt.QuantumGrants, mtExt.QuantumAborts, mtExt.MTInstPerSec/mtLock.MTInstPerSec)
-		if mtLock.SchedQueueOps > 0 {
-			fmt.Printf("  multi-core: scheduler queue ops %d vs %d lockstep (%.0f%% fewer pops)\n",
-				mtExt.SchedQueueOps, mtLock.SchedQueueOps,
-				100*(1-float64(mtExt.SchedQueueOps)/float64(mtLock.SchedQueueOps)))
-		}
-	}
 	if rep.ResultStore != nil {
 		fmt.Printf("  result store: %d entries in %d segment(s); %d hits, %d misses, %d puts this run\n",
 			rep.ResultStore.Entries, rep.ResultStore.Segments, rep.ResultStore.Hits, rep.ResultStore.Misses, rep.ResultStore.Puts)
@@ -664,20 +470,9 @@ func runPerf(scale, jobs, samples int, storeDir string, withRef bool, seedWall f
 		fmt.Printf("  compile cache %-8s %4d compiles, %4d hits (%d distinct configurations)\n",
 			cc.name, cc.s.Misses, cc.s.Hits, cc.s.Entries)
 	}
-	if rep.RefFig8 != nil {
-		fmt.Printf("  %-10s %8.3fs  (map-backed reference store, same binary)\n", rep.RefFig8.Figure, rep.RefFig8.WallSeconds)
-		if rep.SpeedupVsRefStore > 0 {
-			fmt.Printf("  store-swap speedup vs in-binary reference: %.2fx\n", rep.SpeedupVsRefStore)
-		} else {
-			fmt.Printf("  store-swap speedup: n/a (fig8 replayed from store or ran parallel)\n")
-		}
-	}
 	if rep.SpeedupVsSeed > 0 {
 		fmt.Printf("  fig8-seed  %8.3fs  (seed binary, via -seedwall)\n", rep.SeedFig8WallSeconds)
 		fmt.Printf("  end-to-end speedup vs seed: %.2fx (target >= 1.5x)\n", rep.SpeedupVsSeed)
-	}
-	if gateRef != nil {
-		return gatePerf(&rep, gateRef)
 	}
 	return nil
 }

@@ -15,8 +15,8 @@
 //	capristat -gate -min-delta 0.02 old.json new.json
 //
 // Reports without samples arrays (schema <= v4, or -samples 1) fall back
-// per figure to the single-sample 10% point comparison the old
-// `-perfgate` applied — documented fallback, not the methodology.
+// per figure to a single-sample 10% point comparison — a fallback for
+// sample-poor reports, not the methodology.
 package main
 
 import (
@@ -29,8 +29,7 @@ import (
 )
 
 // pointTolerance is the fractional regression the single-sample fallback
-// tolerates — the old `-perfgate` cliff, kept only for reports that
-// carry no samples array.
+// tolerates, applied only to reports that carry no samples array.
 const pointTolerance = 0.10
 
 // figure is the slice of the perf report's per-figure JSON capristat
@@ -68,7 +67,6 @@ type report struct {
 	Samples  int      `json:"samples"`
 	Host     *host    `json:"host"`
 	Figures  []figure `json:"figures"`
-	RefFig8  *figure  `json:"ref_fig8"`
 }
 
 // load reads and decodes one report.
@@ -118,24 +116,17 @@ type row struct {
 	verdict    string
 }
 
-// compareReports compares every figure present in both reports (plus the
-// ref_fig8 series) and returns the per-figure rows in new-report order.
-// minDelta is the relative slowdown below which even a statistically
-// significant difference is not gated on.
+// compareReports compares every figure present in both reports and
+// returns the per-figure rows in new-report order. minDelta is the
+// relative slowdown below which even a statistically significant
+// difference is not gated on.
 func compareReports(old, new *report, minDelta float64) []row {
-	figuresOf := func(r *report) []figure {
-		fs := append([]figure(nil), r.Figures...)
-		if r.RefFig8 != nil {
-			fs = append(fs, *r.RefFig8)
-		}
-		return fs
-	}
 	oldBy := map[string]figure{}
-	for _, f := range figuresOf(old) {
+	for _, f := range old.Figures {
 		oldBy[f.Figure] = f
 	}
 	var rows []row
-	for _, nf := range figuresOf(new) {
+	for _, nf := range new.Figures {
 		of, ok := oldBy[nf.Figure]
 		if !ok {
 			continue
@@ -169,8 +160,8 @@ func compareReports(old, new *report, minDelta float64) []row {
 }
 
 // comparable reports whether two reports' rates may be compared at all:
-// same scale, dispatch core, and worker count (the same skips the old
-// gate applied), and neither report oversubscribed its host. A report run
+// same scale, dispatch core, and worker count, and neither report
+// oversubscribed its host. A report run
 // with more workers than host CPUs sums wall time across machines that
 // were time-sliced against each other, so its rates measure the OS
 // scheduler as much as the simulator.

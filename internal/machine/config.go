@@ -5,6 +5,8 @@
 // and NVM main memory. It executes compiled programs functionally (so crash
 // recovery can be validated end to end) while accounting cycles with an
 // execution-driven timing model (so the paper's figures can be regenerated).
+// Cores interleave on one schedule: the minimum-cycle core runs next, ties to
+// the lowest ID (runq.go), so every run has a single execution order.
 //
 // Power failure can be injected at any instruction boundary; the machine then
 // yields a CrashImage containing exactly the state the paper's failure model
@@ -100,16 +102,9 @@ type Config struct {
 
 	// RefStore backs the architectural memory and NVM with the map-based
 	// reference implementation instead of the paged flat-array store. It is
-	// for differential testing and perf-baseline measurement only: simulation
-	// semantics are identical, only simulator speed differs.
+	// for differential testing only: simulation semantics are identical,
+	// only simulator speed differs.
 	RefStore bool `json:",omitempty"`
-
-	// NoQuantumExt disables the interleaving-safe quantum extension of the
-	// threaded core's multi-core scheduler (quantum.go, DESIGN §4i): with it
-	// true, lockstep cores single-step on the strict per-instruction reference
-	// schedule. Simulator-speed knob only — the extension leaves every
-	// simulated observable identical (differentially tested).
-	NoQuantumExt bool `json:",omitempty"`
 
 	// Ablation switches (design-choice studies; all false in the paper's
 	// configuration). Correctness is preserved under every combination —

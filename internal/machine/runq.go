@@ -3,12 +3,13 @@ package machine
 // runq is the scheduler's event-ordered run queue: a binary min-heap of
 // runnable cores keyed by (cycle, coreID). The run loop pops the reference
 // schedule's pick in O(log cores), reads the strict quantum budget off the
-// new minimum (one peek replaces the old per-dispatch linear scan's two-bound
-// bookkeeping), and re-enqueues the core at its next scheduling event — the
-// quantum end, its service horizon, or not at all once it halts.
+// new minimum — the highest cycle at which the popped core stays the pick,
+// and the only dispatch window the scheduler has — and re-enqueues the core
+// at its cycle once the quantum ends, or not at all once it halts.
 //
 // The ordering invariant is exactly the reference per-instruction schedule:
-// the minimum-cycle runnable core runs, ties to the lowest core ID. The heap
+// the minimum-cycle runnable core runs, ties to the lowest core ID. Every
+// run, crash runs included, follows this one schedule. The heap
 // is rebuilt on every run() entry (cores may have been resumed or recovered
 // between segments) and is never consulted on paths that exit the loop, so a
 // crash or fatal return can leave it stale.

@@ -14,13 +14,12 @@ import (
 // per scheduler pop — nothing on the per-instruction path, and zero
 // allocations either way.
 //
-// Counters (cycles, instret, quantum grants/aborts) are published as
-// saturating deltas against the machine's last-published values, so
-// process totals stay monotone even when recovery rebuilds cores and a
-// per-machine total restarts. Gauges (buffer occupancies, WPQ depth) are
-// published as wrapping deltas, so the global value is always the exact
-// sum over running machines; the exit publish retires this machine's
-// gauge contribution back to zero.
+// Counters (cycles, instret) are published as saturating deltas against
+// the machine's last-published values, so process totals stay monotone
+// even when recovery rebuilds cores and a per-machine total restarts.
+// Gauges (buffer occupancies, WPQ depth) are published as wrapping deltas,
+// so the global value is always the exact sum over running machines; the
+// exit publish retires this machine's gauge contribution back to zero.
 
 // telePublishEvery is the publish batch size in scheduler steps. At the
 // simulator's typical tens-of-millions steps per second this yields a few
@@ -34,8 +33,6 @@ type telePub struct {
 	steps   uint64
 	cycles  uint64
 	instret uint64
-	qGrants uint64
-	qAborts uint64
 	front   uint64
 	back    uint64
 	path    uint64
@@ -95,8 +92,6 @@ func (m *Machine) publishTelemetry(final bool) {
 	cycles := m.Cycles()
 	pubCounter(&t.Cycles, cycles, &p.cycles)
 	pubCounter(&t.Instret, m.retired, &p.instret)
-	pubCounter(&t.QuantumGrants, m.qGrants, &p.qGrants)
-	pubCounter(&t.QuantumAborts, m.qAborts, &p.qAborts)
 	var front, back, path, drain, wpq uint64
 	var drainCore [telemetry.MaxCoreGauges]uint64
 	if !final {
