@@ -26,7 +26,7 @@ test:
 # no external linters).
 lint:
 	$(GO) vet ./...
-	$(GO) run ./tools/doccheck internal/sweep internal/resultstore internal/fault internal/audit internal/figures internal/compile internal/machine internal/telemetry internal/workload internal/recovery cmd/capristat
+	$(GO) run ./tools/doccheck internal/sweep internal/resultstore internal/fault internal/audit internal/figures internal/compile internal/machine internal/telemetry internal/workload internal/recovery internal/trace cmd/capristat
 
 # check is the pre-merge tier: lint (vet + godoc coverage), the
 # race-sensitive packages under the race detector (compile carries the
@@ -46,7 +46,7 @@ lint:
 # timing fails here before it can flake in tier-1.
 check:
 	$(MAKE) lint
-	$(GO) test -race ./internal/machine ./internal/figures ./internal/compile ./internal/sweep ./internal/resultstore ./internal/fault ./internal/telemetry
+	$(GO) test -race ./internal/machine ./internal/figures ./internal/compile ./internal/sweep ./internal/resultstore ./internal/fault ./internal/telemetry ./internal/trace
 	$(GO) test -run 'TestTelemetryZeroAllocWhenOff' -count=20 .
 	$(GO) test -run 'TestScheduleDrainScratchZeroAlloc' -count=20 ./internal/machine
 	$(GO) test -run 'TestVerifierMatrix|TestMutation' ./internal/compile

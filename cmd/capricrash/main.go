@@ -192,13 +192,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		var r *machine.Machine
-		var rep *machine.RecoveryReport
-		if tap != nil {
-			r, rep, err = machine.RecoverInstrumented(img, nil, tap)
-		} else {
-			r, rep, err = machine.Recover(img)
-		}
+		r, rep, err := machine.RecoverOrdered(img, nil, tap)
 		if err != nil {
 			fatal(fmt.Errorf("crash@%d recover: %w", crashAt, err))
 		}

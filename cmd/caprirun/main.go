@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"capri/internal/asm"
+	"capri/internal/audit"
 	"capri/internal/compile"
 	"capri/internal/image"
 	"capri/internal/machine"
@@ -37,7 +38,7 @@ func main() {
 		baseline  = flag.Bool("baseline", false, "run on the volatile baseline machine (no Capri)")
 		stats     = flag.Bool("stats", false, "print machine statistics")
 		imgPath   = flag.String("image", "", "persistent state file: recover from it if present; crashes write it")
-		tracePath = flag.String("trace", "", "write a persistence event trace to this file (.json: Chrome trace-event format for Perfetto)")
+		tracePath = flag.String("trace", "", "write a persistence event trace to this file (.json: Chrome trace-event format for Perfetto; not with -baseline)")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -57,6 +58,9 @@ func main() {
 	}
 
 	if *baseline {
+		if *tracePath != "" {
+			check(fmt.Errorf("caprirun: -trace: the volatile baseline has no persistence events to trace"))
+		}
 		cfg.Capri = false
 		m, err := machine.New(src, cfg)
 		check(err)
@@ -65,9 +69,11 @@ func main() {
 		return
 	}
 
-	var rec *trace.Recorder
+	// The trace recorder rides on the provenance tap (nil: tracing off).
+	var tap audit.Sink
 	if *tracePath != "" {
-		rec = trace.NewRecorder(0)
+		rec := trace.NewRecorder()
+		tap = rec
 		defer func() {
 			f, err := os.Create(*tracePath)
 			check(err)
@@ -86,11 +92,7 @@ func main() {
 	if *imgPath != "" {
 		if img, err := image.LoadFile(*imgPath); err == nil {
 			fmt.Printf("recovering from %s ...\n", *imgPath)
-			var tr machine.Tracer
-			if rec != nil {
-				tr = trace.MachineTracer{R: rec}
-			}
-			r, rep, err := machine.RecoverTraced(img, tr)
+			r, rep, err := machine.RecoverOrdered(img, nil, tap)
 			check(err)
 			fmt.Printf("recovered: %d regions redone, %d entries undone, %d slices, %d cores resumed\n",
 				rep.RegionsRedone, rep.EntriesUndone, rep.SlicesExecuted, rep.CoresResumed)
@@ -125,9 +127,7 @@ func main() {
 	m, err := machine.New(res.Program, cfg)
 	check(err)
 
-	if rec != nil {
-		m.SetTracer(trace.MachineTracer{R: rec})
-	}
+	m.SetTap(tap)
 
 	if *crashAt == 0 {
 		check(m.Run())
@@ -152,11 +152,7 @@ func main() {
 	// Keep tracing across the crash: the recovered machine reuses the same
 	// recorder, so the trace shows the crash edge, the recovery edge, and the
 	// re-executed regions in one timeline.
-	var tr machine.Tracer
-	if rec != nil {
-		tr = trace.MachineTracer{R: rec}
-	}
-	r, rep, err := machine.RecoverTraced(img, tr)
+	r, rep, err := machine.RecoverOrdered(img, nil, tap)
 	check(err)
 	fmt.Printf("recovered: %d regions redone, %d entries undone (%d applied), %d slices, %d cores resumed\n",
 		rep.RegionsRedone, rep.EntriesUndone, rep.UndoneApplied, rep.SlicesExecuted, rep.CoresResumed)

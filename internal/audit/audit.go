@@ -312,8 +312,9 @@ func (t tee) Tap(e Event) {
 }
 
 // Tee returns a Sink forwarding every event to each given sink in order.
-// Nil sinks are skipped. Put a FlightRecorder before an Auditor so a
-// violation's event chain includes the offending event itself.
+// Nil sinks are skipped, and with no sink left Tee returns nil (tap off).
+// Put a FlightRecorder before an Auditor so a violation's event chain
+// includes the offending event itself.
 func Tee(sinks ...Sink) Sink {
 	var t tee
 	for _, s := range sinks {
@@ -321,7 +322,10 @@ func Tee(sinks ...Sink) Sink {
 			t = append(t, s)
 		}
 	}
-	if len(t) == 1 {
+	switch len(t) {
+	case 0:
+		return nil
+	case 1:
 		return t[0]
 	}
 	return t

@@ -193,7 +193,7 @@ func RunPlan(pg *prog.Program, cfg machine.Config, g *recovery.Golden, plan Plan
 	}
 	if r == nil {
 		lastImg = img
-		r, rep, err = machine.RecoverInstrumented(img, nil, tap)
+		r, rep, err = machine.RecoverOrdered(img, nil, tap)
 		if err != nil {
 			out.Err = fmt.Errorf("recover: %w", err)
 			return finish(nil)

@@ -395,17 +395,17 @@ func TestSweepCompilesEachConfigurationOnce(t *testing.T) {
 		t.Errorf("result-cached runs leaked %d compiles into the compile cache", s.Hits)
 	}
 
-	// An instrumented re-run of a swept configuration is a pure cache hit.
+	// A tapped re-run of a swept configuration is a pure compile-cache hit.
 	b, err := workload.ByName("radix")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.RunInstrumented(b, compile.LevelLICM, 256, nil, false); err != nil {
+	if _, err := h.RunTapped(b, compile.LevelLICM, 256, nil, false); err != nil {
 		t.Fatal(err)
 	}
 	s2 := h.CompileCacheStats()
 	if s2.Misses != want || s2.Hits != 1 {
-		t.Errorf("instrumented re-run: misses %d hits %d, want %d/1", s2.Misses, s2.Hits, want)
+		t.Errorf("tapped re-run: misses %d hits %d, want %d/1", s2.Misses, s2.Hits, want)
 	}
 }
 

@@ -150,7 +150,7 @@ func TestAuditedWritebackRace(t *testing.T) {
 }
 
 // TestAuditedCrashSweep crashes the machine at a spread of points, recovers
-// with RecoverInstrumented (the tap installed *before* replay, so the auditor
+// with RecoverOrdered (the tap installed *before* replay, so the auditor
 // observes the recovery protocol itself), resumes under the same auditor, and
 // asserts both the audit verdict and the golden output.
 func TestAuditedCrashSweep(t *testing.T) {
@@ -192,7 +192,7 @@ func TestAuditedCrashSweep(t *testing.T) {
 		// The same auditor stays attached across the crash: its NVM shadow
 		// carries over, and it watches the recovery replay and the resumed
 		// execution.
-		r, _, err := RecoverInstrumented(img, nil, tap)
+		r, _, err := RecoverOrdered(img, nil, tap)
 		if err != nil {
 			t.Fatalf("crash@%d: %v", crashAt, err)
 		}
@@ -255,7 +255,7 @@ func TestAuditedCrashSweepWritebackRace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, rep, err := RecoverInstrumented(img, nil, tap)
+		r, rep, err := RecoverOrdered(img, nil, tap)
 		if err != nil {
 			t.Fatalf("crash@%d: %v", crashAt, err)
 		}

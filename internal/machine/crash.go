@@ -106,45 +106,22 @@ func Recover(img *CrashImage) (*Machine, *RecoveryReport, error) {
 	return RecoverAttached(img)
 }
 
-// RecoverTraced is RecoverAttached with a tracer installed on the recovered
-// machine before the protocol runs; when recovery completes it emits a
-// recovery event (so a trace spanning crash and restart shows both edges).
-func RecoverTraced(img *CrashImage, tr Tracer, devices ...OutputDevice) (*Machine, *RecoveryReport, error) {
-	m, rep, err := RecoverAttached(img, devices...)
-	if err != nil {
-		return nil, nil, err
-	}
-	m.tracer = tr
-	if tr != nil {
-		tr.TraceRecovery(rep.CoresResumed + rep.CoresHalted)
-	}
-	return m, rep, nil
-}
-
 // RecoverAttached is Recover with output devices registered before the
 // protocol runs, so regions that committed before the crash but had not yet
 // finished phase 2 deliver their output to the devices during replay —
 // preserving the exactly-once guarantee across the crash (§3.3's I/O story).
 func RecoverAttached(img *CrashImage, devices ...OutputDevice) (*Machine, *RecoveryReport, error) {
-	return recoverWithTap(img, nil, devices...)
+	m, rep, _, err := recoverCore(img, nil, 0, nil, devices...)
+	return m, rep, err
 }
 
-// RecoverInstrumented is recovery with full observability: the provenance tap
-// is installed on the rebuilt machine *before* the protocol runs (so the
-// recovery events themselves — redo writes, undos, the done marker — reach an
-// attached Auditor or FlightRecorder, and the tap stays live for resumed
-// execution), and the tracer is installed after replay exactly as
-// RecoverTraced does (the trace shows recovery as one event, not a replay).
-func RecoverInstrumented(img *CrashImage, tr Tracer, tap audit.Sink, devices ...OutputDevice) (*Machine, *RecoveryReport, error) {
-	m, rep, err := recoverWithTap(img, tap, devices...)
-	if err != nil {
-		return nil, nil, err
-	}
-	m.tracer = tr
-	if tr != nil {
-		tr.TraceRecovery(rep.CoresResumed + rep.CoresHalted)
-	}
-	return m, rep, nil
+// RecoverInstrumented is RecoverOrdered in core index order with tap, then
+// sink, teed onto the recovered machine.
+//
+// Deprecated: kept only for the benchmark harness, which passes a nil sink.
+// Use RecoverOrdered(img, nil, tap, devices...).
+func RecoverInstrumented(img *CrashImage, sink, tap audit.Sink, devices ...OutputDevice) (*Machine, *RecoveryReport, error) {
+	return RecoverOrdered(img, nil, audit.Tee(tap, sink), devices...)
 }
 
 // RecoverInterrupted runs the §5.4 protocol but injects a nested power
@@ -161,9 +138,13 @@ func RecoverInterrupted(img *CrashImage, tap audit.Sink, stopAfter uint64, devic
 	return recoverCore(img, tap, stopAfter, nil, devices...)
 }
 
-// RecoverOrdered is RecoverInstrumented-style recovery with an explicit core
-// order for phase A's per-stream replay. order must be a permutation of the
-// core indices (nil: identity). Recovery is order-independent — the sequence
+// RecoverOrdered is recovery with full observability and an explicit core
+// order for phase A's per-stream replay. The provenance tap (nil: off) is
+// installed on the rebuilt machine *before* the protocol runs, so the
+// recovery events themselves — redo writes, undos, the done marker — reach
+// an attached Auditor, FlightRecorder or trace.Recorder, and the tap stays
+// live for resumed execution. order must be a permutation of the core
+// indices (nil: identity). Recovery is order-independent — the sequence
 // guard makes cross-core redo applications commute, and phase B's undo pass
 // is globally sorted — so every order must converge to the same persistent
 // image; the permutation tests pin exactly that.
@@ -181,11 +162,6 @@ func RecoverOrdered(img *CrashImage, order []int, tap audit.Sink, devices ...Out
 		}
 	}
 	m, rep, _, err := recoverCore(img, tap, 0, order, devices...)
-	return m, rep, err
-}
-
-func recoverWithTap(img *CrashImage, tap audit.Sink, devices ...OutputDevice) (*Machine, *RecoveryReport, error) {
-	m, rep, _, err := recoverCore(img, tap, 0, nil, devices...)
 	return m, rep, err
 }
 

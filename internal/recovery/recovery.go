@@ -141,15 +141,9 @@ func crashOnce(p *prog.Program, cfg machine.Config, g *Golden, crashAt uint64, a
 	if err != nil {
 		return nil, aud, fmt.Errorf("crash@%d: image: %w", crashAt, err)
 	}
-	var r *machine.Machine
-	var rep *machine.RecoveryReport
-	if tap != nil {
-		// The auditor stays attached across the crash: it watches the
-		// recovery replay itself and the resumed execution.
-		r, rep, err = machine.RecoverInstrumented(img, nil, tap)
-	} else {
-		r, rep, err = machine.Recover(img)
-	}
+	// A tapped auditor stays attached across the crash: it watches the
+	// recovery replay itself and the resumed execution.
+	r, rep, err := machine.RecoverOrdered(img, nil, tap)
 	if err != nil {
 		return nil, aud, fmt.Errorf("crash@%d: recover: %w", crashAt, err)
 	}

@@ -6,6 +6,14 @@
 // crash-aware: traces spanning a power failure and recovery check the
 // re-commit rules of elided boundaries).
 //
+// A Recorder is an audit.Sink: it consumes the machine's provenance tap
+// (Machine.SetTap, or the tap argument of the recovery entry points) and
+// keeps the six timeline kinds of it — region commit, phase-2 drain,
+// writeback, front-end stall, crash and recovery completion — as Events.
+// Every other audit kind is ignored, so a trace is a projection of the one
+// event stream the auditor and flight recorder also see. Baseline
+// (volatile) machines have no tap and therefore no trace.
+//
 // Recorded traces export two ways: WriteTo renders grep-friendly text lines,
 // and WriteChrome renders the Chrome trace-event JSON consumed by Perfetto
 // and chrome://tracing (`caprisim -trace-out trace.json`), with region
@@ -17,6 +25,8 @@ import (
 	"io"
 	"strings"
 	"sync"
+
+	"capri/internal/audit"
 )
 
 // Kind classifies an event.
@@ -89,23 +99,44 @@ func (e Event) String() string {
 type Recorder struct {
 	mu     sync.Mutex
 	events []Event
-	limit  int
 }
 
-// NewRecorder returns a Recorder capped at limit events (0 = unlimited).
-// When the cap is hit, further events are dropped and counted.
-func NewRecorder(limit int) *Recorder {
-	return &Recorder{limit: limit}
+// NewRecorder returns an empty Recorder.
+func NewRecorder() *Recorder {
+	return &Recorder{}
 }
 
-// Record appends an event, subject to the cap.
+// Record appends an event.
 func (r *Recorder) Record(e Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.limit > 0 && len(r.events) >= r.limit {
+	r.events = append(r.events, e)
+}
+
+// Tap implements audit.Sink: it records the timeline kinds of the provenance
+// stream and ignores the rest. A drain's lowest/highest drained address and
+// valid-entry count (audit Val/Val2/Count) become Addr/Addr2/Count; the
+// recovery event carries the recovered core count in Core, noted "cores".
+func (r *Recorder) Tap(a audit.Event) {
+	e := Event{Core: int(a.Core), Cycle: a.Cycle}
+	switch a.Kind {
+	case audit.EvCommit:
+		e.Kind, e.Region = KindRegionCommit, a.Region
+	case audit.EvDrain:
+		e.Kind, e.Region = KindPhase2Drain, a.Region
+		e.Addr, e.Addr2, e.Count = a.Val, a.Val2, int(a.Count)
+	case audit.EvWriteback:
+		e.Kind, e.Addr = KindWriteback, a.Addr
+	case audit.EvStall:
+		e.Kind = KindFrontStall
+	case audit.EvCrash:
+		e.Kind = KindCrash
+	case audit.EvRecoveryDone:
+		e = Event{Kind: KindRecovery, Core: int(a.Count), Note: "cores"}
+	default:
 		return
 	}
-	r.events = append(r.events, e)
+	r.Record(e)
 }
 
 // Events returns a copy of the recorded events in order.

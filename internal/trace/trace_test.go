@@ -4,14 +4,13 @@ import (
 	"strings"
 	"testing"
 
-	"capri/internal/audit"
 	"capri/internal/compile"
 	"capri/internal/machine"
 	"capri/internal/progen"
 )
 
 func TestRecorderBasics(t *testing.T) {
-	r := NewRecorder(0)
+	r := NewRecorder()
 	r.Record(Event{Kind: KindRegionCommit, Core: 1, Cycle: 10, Region: 1})
 	r.Record(Event{Kind: KindWriteback, Core: 0, Cycle: 20, Addr: 0x100})
 	if r.Len() != 2 {
@@ -34,18 +33,8 @@ func TestRecorderBasics(t *testing.T) {
 	}
 }
 
-func TestRecorderCap(t *testing.T) {
-	r := NewRecorder(3)
-	for i := 0; i < 10; i++ {
-		r.Record(Event{Kind: KindFrontStall, Cycle: uint64(i)})
-	}
-	if r.Len() != 3 {
-		t.Errorf("cap not enforced: %d", r.Len())
-	}
-}
-
 func TestEmptySummary(t *testing.T) {
-	if s := NewRecorder(0).Summary(); s != "(empty trace)" {
+	if s := NewRecorder().Summary(); s != "(empty trace)" {
 		t.Errorf("summary = %q", s)
 	}
 }
@@ -88,7 +77,7 @@ func TestCheckRegionOrderDetectsViolations(t *testing.T) {
 	}
 }
 
-// TestMachineTraceOrdering runs real workloads with the tracer attached and
+// TestMachineTraceOrdering runs real workloads with the recorder tapped and
 // asserts the in-order region persistence invariant (DESIGN.md invariant 6)
 // over the actual event stream.
 func TestMachineTraceOrdering(t *testing.T) {
@@ -109,8 +98,8 @@ func TestMachineTraceOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := NewRecorder(0)
-		m.SetTracer(MachineTracer{R: rec})
+		rec := NewRecorder()
+		m.SetTap(rec)
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -130,71 +119,6 @@ func TestMachineTraceOrdering(t *testing.T) {
 			t.Errorf("seed %d: %d commits, %d drains, %d elided (want commits == drains+elided)",
 				seed, commits, drains, elided)
 		}
-	}
-}
-
-// TestDrainPayloadMatchesTap runs a real workload with both the tracer and
-// the provenance tap attached and asserts they report the *same* drain
-// payload: every TraceDrain's (core, region, addrLo, addrHi, entries) must
-// equal the corresponding EvDrain event — Perfetto spans and the auditor see
-// one truth.
-func TestDrainPayloadMatchesTap(t *testing.T) {
-	gcfg := progen.DefaultConfig()
-	gcfg.Threads = 2
-	p := progen.Generate(2, gcfg)
-	res, err := compile.Compile(p, compile.OptionsForLevel(compile.LevelLICM, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := machine.DefaultConfig()
-	cfg.Cores = 2
-	cfg.Threshold = 16
-	cfg.L2Size = 256 << 10
-	cfg.DRAMSize = 1 << 20
-	m, err := machine.New(res.Program, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := NewRecorder(0)
-	m.SetTracer(MachineTracer{R: rec})
-	fr := audit.NewFlightRecorder(0)
-	m.SetTap(fr)
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	drains := rec.Filter(KindPhase2Drain)
-	var taps []audit.Event
-	for _, e := range fr.Events() {
-		if e.Kind == audit.EvDrain {
-			taps = append(taps, e)
-		}
-	}
-	if len(drains) == 0 {
-		t.Fatal("no drains recorded")
-	}
-	if len(drains) != len(taps) {
-		t.Fatalf("tracer saw %d drains, tap saw %d", len(drains), len(taps))
-	}
-	withData := 0
-	for i, d := range drains {
-		a := taps[i]
-		if d.Core != int(a.Core) || d.Region != a.Region ||
-			d.Addr != a.Val || d.Addr2 != a.Val2 || d.Count != int(a.Count) {
-			t.Fatalf("drain %d payload diverged: trace=%+v tap=%+v", i, d, a)
-		}
-		if d.Count > 0 {
-			withData++
-			if d.Addr > d.Addr2 {
-				t.Fatalf("drain %d range inverted: lo=%#x hi=%#x", i, d.Addr, d.Addr2)
-			}
-			line := d.String()
-			if !strings.Contains(line, "entries=") || !strings.Contains(line, "lo=") {
-				t.Fatalf("drain text line lacks payload: %q", line)
-			}
-		}
-	}
-	if withData == 0 {
-		t.Fatal("every drain was data-free — payload untested")
 	}
 }
 
