@@ -53,11 +53,9 @@ func safeRate(inst uint64, secs float64) (rate float64, degenerate bool) {
 
 // perfFigure is one timed sweep in the perf report.
 type perfFigure struct {
-	// Figure names the artifact ("fig8", "fig9", ..., "headline",
-	// "fig8-mt4").
+	// Figure names the timed sweep ("fig8", "fig9", "fig8-mt4").
 	Figure string `json:"figure"`
-	// WallSeconds is the sweep's wall-clock time. Figures 9-11 share the
-	// harness run cache, so their walls are honest *incremental* costs.
+	// WallSeconds is the sweep's wall-clock time.
 	WallSeconds float64 `json:"wall_seconds"`
 	// Instructions newly simulated during this sweep (cache hits excluded).
 	Instructions uint64 `json:"instructions"`
@@ -294,28 +292,19 @@ func runPerfPass(scale, jobs int, store *resultstore.Store) (perfPass, error) {
 	}
 	pass.figures = append(pass.figures, pf)
 
-	// Figures 9-11 and the headline share one harness (as capribench -all
-	// does): fig9 pays the level sweep, 10/11 replay its cache.
+	// Figure 9: the level sweep. Figures 10/11 and the headline only replay
+	// its run cache — they simulate nothing, so they carry no timing signal
+	// and are not timed.
 	h := figures.NewHarness(scale)
 	h.Parallelism = jobs
 	if store != nil {
 		h.UseStore(store)
 	}
-	for _, f := range []struct {
-		name string
-		run  func() error
-	}{
-		{"fig9", func() error { _, err := h.Fig9(); return err }},
-		{"fig10", func() error { _, err := h.Fig10(); return err }},
-		{"fig11", func() error { _, err := h.Fig11(); return err }},
-		{"headline", func() error { _, err := h.Headline(); return err }},
-	} {
-		pf, err := measure(f.name, h, f.run)
-		if err != nil {
-			return pass, err
-		}
-		pass.figures = append(pass.figures, pf)
+	pf, err = measure("fig9", h, func() error { _, err := h.Fig9(); return err })
+	if err != nil {
+		return pass, err
 	}
+	pass.figures = append(pass.figures, pf)
 	// The multi-core figure: the 4-thread Splash-3 suite.
 	pf, err = runMTFigure("fig8-mt4", scale)
 	if err != nil {
@@ -466,7 +455,7 @@ func runPerf(scale, jobs, samples int, storeDir string, seedWall float64, outPat
 	for _, cc := range []struct {
 		name string
 		s    compile.CacheStats
-	}{{"fig8", rep.Fig8CompileCache}, {"fig9-11", rep.FigureCompileCache}} {
+	}{{"fig8", rep.Fig8CompileCache}, {"fig9", rep.FigureCompileCache}} {
 		fmt.Printf("  compile cache %-8s %4d compiles, %4d hits (%d distinct configurations)\n",
 			cc.name, cc.s.Misses, cc.s.Hits, cc.s.Entries)
 	}

@@ -66,7 +66,8 @@ type Config struct {
 	// buffer (capacity == threshold entries, §5.2.2).
 	Threshold int
 
-	// FrontEndEntries sizes the front-end proxy buffer (Table 1: 32).
+	// FrontEndEntries sizes the front-end proxy buffer (Table 1: 32). Capri
+	// needs at least 2: a sync store enters with its commit marker.
 	FrontEndEntries int
 
 	// Cache geometry.
@@ -160,8 +161,11 @@ func (c Config) Validate() error {
 		if c.Threshold <= 0 {
 			return fmt.Errorf("machine: threshold = %d", c.Threshold)
 		}
-		if c.FrontEndEntries <= 0 {
-			return fmt.Errorf("machine: front-end entries = %d", c.FrontEndEntries)
+		if c.FrontEndEntries < 2 {
+			// A sync store enters the front-end as a data entry plus its
+			// commit marker in one indivisible step, so it waits for two free
+			// slots: with one, it would stall forever.
+			return fmt.Errorf("machine: front-end entries = %d; synchronization stores need 2 slots (data entry + commit marker)", c.FrontEndEntries)
 		}
 	}
 	if c.L1Size == 0 || c.L2Size == 0 || c.L1Ways <= 0 || c.L2Ways <= 0 {

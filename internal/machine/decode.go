@@ -43,17 +43,35 @@ import (
 //     ties to the lowest ID. A fused run is dispatched only when its
 //     worst-case interior cycle consumption cannot make another core the
 //     scheduler's pick mid-run (stepThreaded's budget: the strict quantum
-//     the run loop reads off the run queue); otherwise the block
-//     single-steps on the switch core. There is no wider window: every run
-//     follows the reference per-instruction schedule (DESIGN §4i).
+//     the run loop reads off the run queue). Where it does not fit, a
+//     core-local segment may still run ahead of the quantum (runAhead);
+//     otherwise the block single-steps on the switch core.
+//   - Run-ahead. A core-local segment — at least two re-executable ops plus
+//     the branch that closes them — touches only its core's registers, PC,
+//     cycle, CauseExec ledger and instret, so no other core can observe the
+//     order in which it interleaves with them. The one cross-core read of a
+//     core's cycle (a store invalidating its dirty L1 line stamps the
+//     writeback) is reconstructed from the recorded segment (strictCycle,
+//     memsys.go). Run-ahead needs a quiet service horizon across the whole
+//     segment and no pending crash point.
 //   - Crash points. RunUntil needs per-instruction retire granularity around
 //     the crash point, so the run loop stops using fused dispatch within
-//     maxFuseLen+1 retired instructions of it.
+//     maxFuseLen+1 retired instructions of it, and never runs ahead.
 //   - Resume points. Recovery (and a stalled fused tail store) can land the
 //     PC in the interior of a fused run. The source-index → thunk map marks
-//     interior indices with -1, and dispatch falls back to the switch core
-//     until the PC re-reaches a thunk head.
+//     interior indices with -1, and dispatch falls back to a core-local
+//     segment or the switch core until the PC re-reaches a thunk head.
 const maxFuseLen = 32
+
+// Packed segment-table entries (dblock.seg): bits 0–7 hold the segment's
+// re-executable op count (0: no segment starts here), bit 8 marks a closing
+// Br/BrIf, and bits 9 up hold the ops' summed CauseExec cost (branch
+// excluded).
+const (
+	segLenMask   = 1<<8 - 1
+	segBr        = 1 << 8
+	segCostShift = 9
+)
 
 // dop is one decoded op thunk: a direct-dispatched function with its operands
 // pre-extracted at decode time.
@@ -88,6 +106,10 @@ type dblock struct {
 	// pc maps a source instruction index to its thunk index, or -1 for the
 	// interior of a fused run (dispatch falls back to single-stepping).
 	pc []int32
+	// seg is the packed core-local segment starting at each source index
+	// (segLenMask/segBr/segCostShift), built on first run-ahead in the block
+	// so machines that never run ahead never pay for it.
+	seg []uint32
 }
 
 // dprog is the machine-level decode cache: one decoded block per (fn, blk) of
@@ -246,9 +268,11 @@ func decodeBlock(insts []isa.Inst, cfg *Config, fusedCtr *uint64) *dblock {
 // stepThreaded dispatches one decoded thunk on core c within the strict
 // quantum: budget is the highest cycle at which the scheduler would still
 // pick c (read off the run queue in machine.go's run loop), and the loop
-// guarantees c.cycle < budget on entry. A fused run whose worst case might
-// cross the budget single-steps on the switch core instead.
-func (m *Machine) stepThreaded(c *core, budget uint64) {
+// guarantees c.cycle <= budget on entry. A single-instruction thunk always
+// fits. A fused run whose worst case might cross the budget, or a PC inside
+// a fused run, falls back to a core-local segment when ahead allows
+// run-ahead, and to the switch core otherwise.
+func (m *Machine) stepThreaded(c *core, budget uint64, ahead bool) {
 	if c.blkFn != c.fn || c.blkId != c.blk || c.dblk == nil {
 		b := m.prog.Funcs[c.fn].Blocks[c.blk]
 		c.blkInsts = b.Insts
@@ -260,21 +284,90 @@ func (m *Machine) stepThreaded(c *core, budget uint64) {
 		m.fatalf("core %d: PC f%d b%d idx %d beyond block", c.id, c.fn, c.blk, c.idx)
 		return
 	}
-	op := db.pc[c.idx]
-	if op < 0 {
-		// Interior resume point (recovery checkpoint or retried fused tail):
-		// single-step on the switch core until the PC re-reaches a thunk head.
-		m.step(c)
-	} else {
+	if op := db.pc[c.idx]; op >= 0 {
 		d := &db.ops[op]
-		if d.wcSched != 0 && c.cycle+d.wcSched > budget {
-			// The quantum cannot absorb this run's worst case whole: retire
-			// one instruction at a time on the reference core.
-			m.step(c)
-		} else {
+		if d.wcSched == 0 || c.cycle+d.wcSched <= budget {
 			d.run(m, c, d)
+			return
 		}
 	}
+	if !ahead || !m.runAhead(c, db) {
+		m.step(c)
+	}
+}
+
+// segments builds a block's packed segment table: for every index, the
+// maximal run of re-executable ops starting there (at least two, capped at
+// segLenMask) and whether a Br/BrIf closes it. One backward pass keeps the
+// run's exclusive end and summed cost as a sliding window.
+func segments(insts []isa.Inst) []uint32 {
+	seg := make([]uint32, len(insts))
+	end := len(insts)
+	var cost uint64
+	for i := len(insts) - 1; i >= 0; i-- {
+		if !insts[i].IsReexecutable() {
+			end, cost = i, 0
+			continue
+		}
+		cost += aluCost(insts[i].Op)
+		if end-i > segLenMask {
+			end--
+			cost -= aluCost(insts[end].Op)
+		}
+		n := end - i
+		if n < 2 {
+			continue
+		}
+		e := uint32(n) | uint32(cost)<<segCostShift
+		if end < len(insts) && (insts[end].Op == isa.OpBr || insts[end].Op == isa.OpBrIf) {
+			e |= segBr
+		}
+		seg[i] = e
+	}
+	return seg
+}
+
+// runAhead retires the core-local segment at c's PC in one dispatch, even
+// past the strict quantum, and reports whether one ran. db is c's current
+// decoded block. It runs only when the whole segment sits strictly before
+// c's service horizon, so every per-instruction service the switch core
+// would run inside it is a no-op. The segment is recorded on the core until
+// its next dispatch, for the writeback stamp (strictCycle). Callers must
+// have no crash point pending.
+func (m *Machine) runAhead(c *core, db *dblock) bool {
+	if db.seg == nil {
+		db.seg = segments(c.blkInsts)
+	}
+	s := db.seg[c.idx]
+	if s == 0 {
+		return false
+	}
+	cost := uint64(s >> segCostShift)
+	if c.front != nil && c.cycle+cost >= c.svcAt {
+		return false
+	}
+	n := int(s & segLenMask)
+	c.aheadSeg = c.blkInsts[c.idx : c.idx+n : c.idx+n]
+	c.aheadStart = c.cycle
+	execSlice(&c.regs, c.aheadSeg)
+	c.tick(CauseExec, cost)
+	k := uint64(n)
+	if s&segBr != 0 {
+		in := &c.blkInsts[c.idx+n]
+		c.tick(CauseExec, costBranch)
+		if in.Op == isa.OpBr || in.Cond.Eval(c.regs[in.Ra], c.regs[in.Rb]) {
+			c.blk = int(in.Target)
+		} else {
+			c.blk = int(in.Else)
+		}
+		c.idx = 0
+		k++
+	} else {
+		c.idx += n
+	}
+	c.instret += k
+	c.curInsts += k
+	return true
 }
 
 // runInterior executes a fused run's interior with batched timing: exec-cost

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"capri/internal/compile"
@@ -116,9 +118,9 @@ func TestQuiesceConvergence(t *testing.T) {
 	}
 }
 
-// TestBackpressureNeverDeadlocks: a pathological configuration (1-entry
-// front-end, tiny back-end via threshold 2, slow path) must still complete —
-// backpressure stalls, never wedges.
+// TestBackpressureNeverDeadlocks: a pathological configuration (the
+// smallest legal front-end, tiny back-end via threshold 2, slow path) must
+// still complete — backpressure stalls, never wedges.
 func TestBackpressureNeverDeadlocks(t *testing.T) {
 	src := genLikeProgram()
 	opts := compile.DefaultOptions()
@@ -128,7 +130,7 @@ func TestBackpressureNeverDeadlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig(2)
-	cfg.FrontEndEntries = 1
+	cfg.FrontEndEntries = 2
 	cfg.ProxyLatency = 500
 	cfg.ProxyInterval = 50
 	cfg.MaxSteps = 20_000_000
@@ -139,6 +141,78 @@ func TestBackpressureNeverDeadlocks(t *testing.T) {
 	if s := m.Stats(); s.FrontStalls == 0 {
 		t.Error("pathological config produced no stalls — backpressure untested")
 	}
+}
+
+// TestFrontEndNeedsTwoSlots pins the sync two-slot requirement: a sync
+// store waits until the front-end holds its data entry and commit marker
+// together, so a one-entry front-end would stall it forever. Validate must
+// refuse that configuration for Capri machines (a volatile baseline has no
+// front-end), and the smallest legal front-end must carry a lock-heavy
+// two-thread program on the tiny-cache, slow-path geometry to completion.
+func TestFrontEndNeedsTwoSlots(t *testing.T) {
+	cfg := testConfig(64)
+	cfg.FrontEndEntries = 1
+	err := cfg.Validate()
+	if err == nil || !strings.Contains(err.Error(), "commit marker") {
+		t.Fatalf("one-entry front-end: Validate = %v, want the sync two-slot error", err)
+	}
+	if _, err := New(sumProgram(10), cfg); err == nil {
+		t.Fatal("New accepted a one-entry front-end")
+	}
+	cfg.Capri = false
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("baseline machine rejected for its unused front-end size: %v", err)
+	}
+
+	p := compileFor(t, lockedCounter(2, 40), 64)
+	cfg = testConfig(64)
+	cfg.FrontEndEntries = 2
+	cfg.L1Size, cfg.L1Ways = 256, 1
+	cfg.L2Size, cfg.L2Ways = 512, 1
+	cfg.ProxyInterval = 16
+	cfg.MaxSteps = 2_000_000
+	m, err := New(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(); err != nil {
+		t.Fatalf("two-entry front-end: %v", err)
+	}
+	if got, want := m.MemSnapshot()[HeapBase+8], uint64(2*40); got != want {
+		t.Fatalf("two-entry front-end: counter = %d, want %d", got, want)
+	}
+}
+
+// lockedCounter builds a program in which each of threads workers bumps a
+// shared counter at HeapBase+8 n times under the spin lock at HeapBase.
+func lockedCounter(threads int, n int64) *prog.Program {
+	bd := prog.NewBuilder("locked")
+	var entries []*prog.FuncBuilder
+	for w := 0; w < threads; w++ {
+		f := bd.Func(fmt.Sprintf("worker%d", w))
+		entry, header, body, exit := f.Block(), f.Block(), f.Block(), f.Block()
+		f.SetBlock(entry)
+		f.MovI(isa.SP, int64(StackBase(w)))
+		f.MovI(0, 0)
+		f.MovI(1, n)
+		f.MovI(2, int64(HeapBase))
+		f.Br(header)
+		f.SetBlock(header)
+		f.BrIf(0, isa.CondGE, 1, exit, body)
+		f.SetBlock(body)
+		f.Lock(2, 0)
+		f.Load(3, 2, 8)
+		f.AddI(3, 3, 1)
+		f.Store(2, 8, 3)
+		f.Unlock(2, 0)
+		f.AddI(0, 0, 1)
+		f.Br(header)
+		f.SetBlock(exit)
+		f.Halt()
+		entries = append(entries, f)
+	}
+	bd.SetThreadEntries(entries...)
+	return bd.Program()
 }
 
 // TestDebugPC sanity-checks the debug accessors used by the validation

@@ -69,6 +69,14 @@ type core struct {
 	blkInsts []isa.Inst
 	dblk     *dblock
 
+	// The core-local segment this core last retired past the strict quantum
+	// (runAhead, decode.go): its ops and the cycle it started at. The run
+	// loop clears aheadSeg at the core's next dispatch; until then
+	// strictCycle (memsys.go) reconstructs the cycle the strict schedule
+	// would show another core.
+	aheadSeg   []isa.Inst
+	aheadStart uint64
+
 	// lines is scheduleDrain's distinct-line dedup scratch: an epoch-stamped
 	// flat table cleared by generation bump and reused across every region
 	// (zero steady-state allocation; see scratch.go).
@@ -399,9 +407,13 @@ func (m *Machine) run(crashAt uint64) error {
 	// this loop alone: New starts every core at zero and recovery builds
 	// fresh cores, so a machine resumed mid-run (RunUntil segments, or Run
 	// after a survived crash point) keeps its counter instead of re-summing
-	// Instret() per entry. A dispatch retires at most maxFuseLen+1
-	// instructions, so the delta around it is cheap to track.
+	// Instret() per entry; the delta around each dispatch is cheap to track.
 	threaded := m.cfg.Dispatch == DispatchThreaded
+	// Run-ahead (decode.go) retires core-local segments past the strict
+	// quantum. Crash points are counted on the strict schedule's global
+	// retirement order, which run-ahead does not keep, so it runs only when
+	// no crash point is pending.
+	ahead := threaded && crashAt == ^uint64(0)
 	// Live telemetry arming, read once per run segment (telemetry.go).
 	// The conditional defer means a disarmed run pays exactly one atomic
 	// pointer load here and one nil check per scheduler pop below.
@@ -456,14 +468,15 @@ func (m *Machine) run(crashAt uint64) error {
 				m.service(c)
 			}
 			before := c.instret
-			if threaded && crashAt-m.retired > maxFuseLen+1 && c.cycle < budget {
-				m.stepThreaded(c, budget)
+			c.aheadSeg = nil
+			if threaded && crashAt-m.retired > maxFuseLen+1 && (ahead || c.cycle < budget) {
+				m.stepThreaded(c, budget, ahead)
 			} else {
-				// With zero quantum slack (cores in tight cycle lockstep — no
-				// multi-instruction thunk could dispatch), near the crash
-				// point (crash injection is defined at instruction
-				// granularity), or in switch mode, retire one instruction at
-				// a time on the reference core.
+				// Near the crash point (crash injection is defined at
+				// instruction granularity), in switch mode, or with zero
+				// quantum slack and no run-ahead (only a single-instruction
+				// thunk could dispatch), retire one instruction on the
+				// reference core.
 				m.step(c)
 			}
 			m.retired += c.instret - before

@@ -17,7 +17,7 @@ import (
 func (m *Machine) chargeLoad(c *core, addr uint64) {
 	hit, wb := c.l1.Access(addr, false, 0, c.id)
 	if wb != nil {
-		m.l1Writeback(c, wb)
+		m.l1Writeback(c.cycle, wb)
 	}
 	if hit {
 		c.tick(CauseLoadL1, m.cfg.L1Hit)
@@ -91,28 +91,54 @@ func (m *Machine) sampleBoundary(c *core, elided bool) {
 // them.
 func (m *Machine) storeAccess(c *core, addr uint64, seq uint64) uint64 {
 	// Invalidate other cores' copies (write-invalidate coherence). Their
-	// dirty data flows down like a writeback.
+	// dirty data flows down like a writeback, stamped with the victim's
+	// cycle on the strict schedule.
 	for _, o := range m.cores {
 		if o != c {
 			if wb := o.l1.Invalidate(addr); wb != nil {
-				m.l1Writeback(o, wb)
+				m.l1Writeback(o.strictCycle(c), wb)
 			}
 		}
 	}
 	_, wb := c.l1.Access(addr, true, seq, c.id)
 	if wb != nil {
-		m.l1Writeback(c, wb)
+		m.l1Writeback(c.cycle, wb)
 	}
 	return 1
 }
 
-// l1Writeback sends an evicted dirty L1 line into the shared L2.
-func (m *Machine) l1Writeback(c *core, wb *cache.Writeback) {
+// strictCycle returns the cycle core o would show, on the strict
+// per-instruction schedule, to an access by the running core c at c's
+// current cycle. It differs from o.cycle only while o has run ahead
+// (runAhead, decode.go): the strict schedule retires o's segment op with
+// start key (b, o.id) before c's access exactly when that key is below
+// (c.cycle, c.id), so the answer is the start cycle of the first segment op
+// that is not.
+func (o *core) strictCycle(c *core) uint64 {
+	if o.aheadSeg == nil {
+		return o.cycle
+	}
+	b := o.aheadStart
+	for i := range o.aheadSeg {
+		if !keyLess(b, o.id, c.cycle, c.id) {
+			return b
+		}
+		b += aluCost(o.aheadSeg[i].Op)
+	}
+	// b starts the closing branch, if any; without one, b == o.cycle.
+	if !keyLess(b, o.id, c.cycle, c.id) {
+		return b
+	}
+	return o.cycle
+}
+
+// l1Writeback sends an evicted dirty L1 line into the shared L2 at cycle now.
+func (m *Machine) l1Writeback(now uint64, wb *cache.Writeback) {
 	// Install in L2 as dirty; L2 victim (if dirty) goes to the controller.
 	for _, w := range wb.Words {
 		_, l2wb := m.l2.Access(w, true, wb.Seq, wb.Core)
 		if l2wb != nil {
-			m.controllerWriteback(c.cycle, l2wb)
+			m.controllerWriteback(now, l2wb)
 		}
 	}
 }

@@ -21,7 +21,12 @@ type runq struct {
 // coreLess orders the heap by (cycle, coreID) — the reference schedule's
 // pick order.
 func coreLess(a, b *core) bool {
-	return a.cycle < b.cycle || (a.cycle == b.cycle && a.id < b.id)
+	return keyLess(a.cycle, a.id, b.cycle, b.id)
+}
+
+// keyLess orders two schedule keys (cycle, coreID).
+func keyLess(ac uint64, aid int, bc uint64, bid int) bool {
+	return ac < bc || (ac == bc && aid < bid)
 }
 
 // reset rebuilds the queue from the machine's runnable cores.
